@@ -48,6 +48,7 @@ identical, so degrading is safe); requesting an *unknown* name raises
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import warnings
@@ -280,6 +281,21 @@ class KernelBackend:
         return dj._djokovic_classes_vectorized(g, distances)
 
 
+@functools.lru_cache(maxsize=1)
+def _numba_importable() -> bool:
+    """Whether ``import numba`` succeeds; asked once per process.
+
+    Backend resolution runs on every kernel call, and a failed import is
+    not cached by Python, so retrying it each time cost more than most
+    kernels it dispatched.
+    """
+    try:  # pragma: no cover - exercised only where numba is installed
+        import numba  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 class NumpyBackend(KernelBackend):
     """The always-available byte-identity reference (base-class kernels)."""
 
@@ -300,11 +316,7 @@ class NumbaBackend(KernelBackend):
         self._kernels: dict | None = None
 
     def available(self) -> bool:
-        try:  # pragma: no cover - exercised only where numba is installed
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
+        return _numba_importable()
 
     # pragma: no cover on every kernel below - numba is absent from the
     # base image; the CI numba matrix leg runs them for real.

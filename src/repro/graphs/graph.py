@@ -183,32 +183,42 @@ class Graph:
             _validate=False,
         )
 
+    def csr_lists(self) -> tuple[list[int], list[int], list[float]]:
+        """``(indptr, indices, weights)`` as plain Python lists.
+
+        Scalar indexing into a list is several times cheaper than into a
+        numpy array, so the partitioner's per-vertex loops walk these
+        instead of slicing the arrays once per vertex.
+        """
+        return self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
+
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
 
         Returns the subgraph and the array mapping new vertex ids back to
         the original ids (``vertices`` itself, as int64).  Used by the
-        recursive-bisection partitioner.
+        recursive-bisection partitioner.  Each row keeps its neighbors in
+        the original CSR order.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         inv = np.full(self.n, -1, dtype=np.int64)
         inv[vertices] = np.arange(vertices.shape[0], dtype=np.int64)
-        sub_indptr = [0]
-        sub_indices: list[np.ndarray] = []
-        sub_weights: list[np.ndarray] = []
-        for v in vertices:
-            nbrs = self.neighbors(int(v))
-            wts = self.incident_weights(int(v))
-            keep = inv[nbrs] >= 0
-            sub_indices.append(inv[nbrs[keep]])
-            sub_weights.append(wts[keep])
-            sub_indptr.append(sub_indptr[-1] + int(keep.sum()))
-        indices = np.concatenate(sub_indices) if sub_indices else np.empty(0, np.int64)
-        weights = np.concatenate(sub_weights) if sub_weights else np.empty(0, np.float64)
+        # Gather the CSR rows of ``vertices`` back to back, then drop the
+        # entries whose neighbor lies outside the subgraph.
+        starts = self.indptr[vertices]
+        lengths = self.indptr[vertices + 1] - starts
+        row_end = np.cumsum(lengths)
+        pos = np.arange(int(row_end[-1]) if row_end.size else 0, dtype=np.int64)
+        pos += np.repeat(starts - (row_end - lengths), lengths)
+        mapped = inv[self.indices[pos]]
+        keep = mapped >= 0
+        rows = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), lengths)
+        sub_indptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=vertices.shape[0]), out=sub_indptr[1:])
         sub = Graph(
-            np.asarray(sub_indptr, dtype=np.int64),
-            indices,
-            weights,
+            sub_indptr,
+            mapped[keep],
+            self.weights[pos[keep]],
             self.vertex_weights[vertices],
             name=f"{self.name}|sub" if self.name else "",
             _validate=False,
@@ -237,6 +247,10 @@ class Graph:
             raise GraphFormatError("neighbor index out of range")
         if self.vertex_weights.shape[0] != n:
             raise GraphFormatError("vertex_weights must have length n")
+        if not np.isfinite(self.weights).all():
+            raise GraphFormatError("edge weights must be finite (no NaN or inf)")
+        if not np.isfinite(self.vertex_weights).all():
+            raise GraphFormatError("vertex weights must be finite (no NaN or inf)")
         if self.indices.size and np.any(self.weights < 0):
             raise GraphFormatError("edge weights must be non-negative")
         # Undirectedness: each direction must appear with equal weight.

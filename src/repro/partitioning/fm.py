@@ -10,6 +10,23 @@ This is the refinement engine both of the multilevel bisection
 graph -- of the DRB mapper.  Kernighan-Lin-style swap logic is what the
 paper's §6 explicitly compares TIMER against, so the implementation is
 deliberately textbook.
+
+Implementation: each call converts the CSR arrays to plain Python lists
+once (:meth:`~repro.graphs.graph.Graph.csr_lists`), computes the initial
+gains of a pass with one vectorized ``np.bincount`` over the edges and
+then keeps them incrementally -- moving ``v`` off side ``s`` changes the
+gain of each neighbor by ``+2w`` (neighbor on ``s``) or ``-2w``.  The heap
+key ``(-gain, v, v, gain)``, the lazy validity test, the balance caps and
+the best-prefix rollback are those of the textbook version, so the pop
+order is too.
+
+Scope of byte identity: with integer edge and vertex weights (all sums
+below 2**53) every gain and side weight is exactly representable, so
+the result does not depend on summation order and equals the one of the
+per-vertex recomputation this module replaced
+(``tests/partitioning/oracles.py``) bit for bit -- the same scope as the
+swap kernels.  Fractional weights give deterministic results that may
+differ from it in the last bits of a gain and so in a tie.
 """
 
 from __future__ import annotations
@@ -41,69 +58,68 @@ def fm_refine(
     max_passes:
         upper bound on full FM passes.
     """
-    assign = np.asarray(assignment, dtype=np.int64).copy()
+    assign = np.asarray(assignment, dtype=np.int64)
     if g.n == 0:
-        return assign
-    vw = g.vertex_weights
+        return assign.copy()
     side_weight = np.zeros(2, dtype=np.float64)
-    np.add.at(side_weight, assign, vw)
-
+    np.add.at(side_weight, assign, g.vertex_weights)
+    sides = assign.tolist()
+    sw = side_weight.tolist()
+    csr = g.csr_lists()
+    vw = g.vertex_weights.tolist()
+    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
     for _ in range(max_passes):
-        improved = _fm_pass(g, assign, side_weight, max_weight)
+        improved = _fm_pass(g, csr, vw, tails, sides, sw, max_weight)
         if not improved:
             break
-    return assign
-
-
-def _gain(g: Graph, assign: np.ndarray, v: int) -> float:
-    """Cut reduction if ``v`` switches sides: w(external) - w(internal)."""
-    nbrs = g.neighbors(v)
-    wts = g.incident_weights(v)
-    same = assign[nbrs] == assign[v]
-    return float(wts[~same].sum() - wts[same].sum())
+    return np.asarray(sides, dtype=np.int64)
 
 
 def _fm_pass(
     g: Graph,
-    assign: np.ndarray,
-    side_weight: np.ndarray,
+    csr: tuple[list[int], list[int], list[float]],
+    vw: list[float],
+    tails: np.ndarray,
+    assign: list[int],
+    side_weight: list[float],
     max_weight: tuple[float, float],
 ) -> bool:
+    """One FM pass; mutates ``assign`` and ``side_weight`` (both lists).
+
+    ``csr`` is ``g.csr_lists()``, ``vw`` the vertex weights as a list and
+    ``tails[i]`` the vertex whose CSR row holds entry ``i``.
+    """
+    indptr, indices, weights = csr
     n = g.n
-    vw = g.vertex_weights
-    locked = np.zeros(n, dtype=bool)
-    # Lazy heap entries (-gain, tiebreak, v, recorded_gain).
-    heap: list[tuple[float, int, int, float]] = []
-    current_gain = np.full(n, np.nan)
-
-    def push(v: int):
-        gv = _gain(g, assign, v)
-        current_gain[v] = gv
-        heapq.heappush(heap, (-gv, v, v, gv))
-
-    # Seed with boundary vertices only: interior moves never help first.
-    us = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    boundary = np.zeros(n, dtype=bool)
-    cross = assign[us] != assign[g.indices]
-    boundary[us[cross]] = True
-    for v in np.nonzero(boundary)[0]:
-        push(int(v))
+    # gain[v] = w(external) - w(internal), over all edges at once.
+    sides = np.asarray(assign, dtype=np.int64)
+    cross = sides[tails] != sides[g.indices]
+    gain = np.bincount(
+        tails, weights=np.where(cross, g.weights, -g.weights), minlength=n
+    ).tolist()
+    # Lazy heap entries (-gain, tiebreak, v, recorded_gain), seeded with
+    # boundary vertices only: interior moves never help first.
+    boundary = np.flatnonzero(np.bincount(tails[cross], minlength=n)).tolist()
+    heap = [(-gain[v], v, v, gain[v]) for v in boundary]
     if not heap:
         return False
+    heapq.heapify(heap)
+    locked = [False] * n
 
     moves: list[int] = []
     cum_gain = 0.0
     best_prefix, best_gain = 0, 0.0
     while heap:
         neg_g, _, v, g_rec = heapq.heappop(heap)
-        if locked[v] or current_gain[v] != g_rec:
+        if locked[v] or gain[v] != g_rec:
             continue
-        target = 1 - int(assign[v])
+        source = assign[v]
+        target = 1 - source
         if side_weight[target] + vw[v] > max_weight[target]:
             continue
         # Execute the move.
         locked[v] = True
-        side_weight[int(assign[v])] -= vw[v]
+        side_weight[source] -= vw[v]
         side_weight[target] += vw[v]
         assign[v] = target
         cum_gain += -neg_g
@@ -111,14 +127,20 @@ def _fm_pass(
         if cum_gain > best_gain + 1e-12:
             best_gain = cum_gain
             best_prefix = len(moves)
-        for u in g.neighbors(v):
-            u = int(u)
-            if not locked[u]:
-                push(u)
+        for i in range(indptr[v], indptr[v + 1]):
+            u = indices[i]
+            if locked[u]:
+                continue
+            if assign[u] == source:
+                gu = gain[u] + 2.0 * weights[i]
+            else:
+                gu = gain[u] - 2.0 * weights[i]
+            gain[u] = gu
+            heapq.heappush(heap, (-gu, u, u, gu))
 
     # Roll back past the best prefix.
     for v in moves[best_prefix:]:
-        side = int(assign[v])
+        side = assign[v]
         side_weight[side] -= vw[v]
         side_weight[1 - side] += vw[v]
         assign[v] = 1 - side

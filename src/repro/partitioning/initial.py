@@ -26,40 +26,50 @@ def grow_bisection(
     """Bisect ``g``; side 0 receives ~``target_weight_0`` of vertex weight.
 
     Returns a 0/1 assignment array.  Side 0 is grown; everything else is
-    side 1.  The best of ``attempts`` runs (by cut weight) wins.
+    side 1.  The best of ``attempts`` runs (by cut weight) wins; on equal
+    cuts the earlier run does.
     """
     if g.n == 0:
         return np.empty(0, dtype=np.int64)
     rng = make_rng(seed)
-    best_assign: np.ndarray | None = None
-    best_cut = np.inf
-    for _ in range(max(1, attempts)):
-        assign = _grow_once(g, target_weight_0, rng)
+    csr = g.csr_lists()
+    vw = g.vertex_weights.tolist()
+    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    deg_w = np.bincount(tails, weights=g.weights, minlength=g.n).tolist()
+    best_assign = _grow_once(csr, vw, deg_w, target_weight_0, rng)
+    best_cut = _cut_of(g, best_assign)
+    for _ in range(max(1, attempts) - 1):
+        assign = _grow_once(csr, vw, deg_w, target_weight_0, rng)
         cut = _cut_of(g, assign)
         if cut < best_cut:
             best_cut, best_assign = cut, assign
-    assert best_assign is not None
     return best_assign
 
 
-def _grow_once(g: Graph, target: float, rng: np.random.Generator) -> np.ndarray:
-    n = g.n
-    in_region = np.zeros(n, dtype=bool)
-    vw = g.vertex_weights
+def _grow_once(
+    csr: tuple[list[int], list[int], list[float]],
+    vw: list[float],
+    deg_w: list[float],
+    target: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Grow one region; ``deg_w[v]`` is the total edge weight at ``v``."""
+    indptr, indices, weights = csr
+    n = len(vw)
+    in_region = [False] * n
+    # gain = (weight to region) - (weight to outside) = 2 * conn - deg_w,
+    # with conn[v] the weight from v into the region, kept as it grows.
+    conn = [0.0] * n
     start = int(rng.integers(0, n))
     region_weight = 0.0
-    # Max-heap on gain = (weight to region) - (weight to outside).
+    # Max-heap on gain; the push counter breaks ties first-in first-out.
     heap: list[tuple[float, int, int]] = []
     stamp = 0
 
     def push(v: int):
         nonlocal stamp
-        nbrs = g.neighbors(v)
-        wts = g.incident_weights(v)
-        inside = in_region[nbrs]
-        gain = float(wts[inside].sum() - wts[~inside].sum())
         stamp += 1
-        heapq.heappush(heap, (-gain, stamp, v))
+        heapq.heappush(heap, (-(2.0 * conn[v] - deg_w[v]), stamp, v))
 
     push(start)
     while heap and region_weight < target:
@@ -72,19 +82,20 @@ def _grow_once(g: Graph, target: float, rng: np.random.Generator) -> np.ndarray:
         ):
             continue
         in_region[v] = True
-        region_weight += float(vw[v])
-        for u in g.neighbors(v):
-            u = int(u)
+        region_weight += vw[v]
+        for i in range(indptr[v], indptr[v + 1]):
+            u = indices[i]
+            conn[u] += weights[i]
             if not in_region[u]:
                 push(u)
         if not heap and region_weight < target:
-            outside = np.nonzero(~in_region)[0]
-            if outside.size == 0:
+            outside = [u for u in range(n) if not in_region[u]]
+            if not outside:
                 break
-            push(int(outside[rng.integers(0, outside.size)]))
-    if not in_region.any():  # degenerate: single vertex heavier than target
+            push(outside[rng.integers(0, len(outside))])
+    if not any(in_region):  # degenerate: single vertex heavier than target
         in_region[start] = True
-    return np.where(in_region, 0, 1).astype(np.int64)
+    return 1 - np.asarray(in_region, dtype=np.int64)
 
 
 def _cut_of(g: Graph, assign: np.ndarray) -> float:

@@ -28,36 +28,29 @@ def kway_refine(
     """Greedy k-way boundary refinement under the Eq. (1) balance cap."""
     g = part.graph
     k = part.k
-    assign = part.assignment.copy()
-    vw = g.vertex_weights
+    assign = part.assignment.tolist()
+    vw = g.vertex_weights.tolist()
     limit = balance_limit(g, k, epsilon)
     bw = np.zeros(k, dtype=np.float64)
-    np.add.at(bw, assign, vw)
+    np.add.at(bw, part.assignment, g.vertex_weights)
+    bw = bw.tolist()
 
-    indptr, indices, weights = g.indptr, g.indices, g.weights
+    indptr, indices, weights = g.csr_lists()
     for _ in range(max_passes):
         moved = 0
-        boundary = _boundary_vertices(g, assign)
-        for v in boundary:
-            v = int(v)
-            b = int(assign[v])
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            wts = weights[indptr[v] : indptr[v + 1]]
-            nbr_blocks = assign[nbrs]
-            if (nbr_blocks == b).all():
-                continue
-            # weight of edges into each adjacent block
-            blocks, inv = np.unique(nbr_blocks, return_inverse=True)
-            into = np.zeros(blocks.shape[0], dtype=np.float64)
-            np.add.at(into, inv, wts)
-            own_idx = np.nonzero(blocks == b)[0]
-            own = float(into[own_idx[0]]) if own_idx.size else 0.0
+        for v in _boundary_vertices(g, np.asarray(assign, dtype=np.int64)):
+            b = assign[v]
+            # weight of edges into each adjacent block, summed in neighbor order
+            into: dict[int, float] = {}
+            for i in range(indptr[v], indptr[v + 1]):
+                t = assign[indices[i]]
+                into[t] = into.get(t, 0.0) + weights[i]
+            own = into.get(b, 0.0)
             best_gain, best_t = 0.0, -1
-            for t_idx, t in enumerate(blocks):
-                t = int(t)
+            for t in sorted(into):
                 if t == b or bw[t] + vw[v] > limit + 1e-9:
                     continue
-                gain = float(into[t_idx]) - own
+                gain = into[t] - own
                 if gain > best_gain + 1e-12:
                     best_gain, best_t = gain, t
             if best_t >= 0:
@@ -67,12 +60,10 @@ def kway_refine(
                 moved += 1
         if moved == 0:
             break
-    return Partition(g, assign, k)
+    return Partition(g, np.asarray(assign, dtype=np.int64), k)
 
 
-def _boundary_vertices(g: Graph, assign: np.ndarray) -> np.ndarray:
+def _boundary_vertices(g: Graph, assign: np.ndarray) -> list[int]:
     us = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
     cross = assign[us] != assign[g.indices]
-    out = np.zeros(g.n, dtype=bool)
-    out[us[cross]] = True
-    return np.nonzero(out)[0]
+    return np.flatnonzero(np.bincount(us[cross], minlength=g.n)).tolist()

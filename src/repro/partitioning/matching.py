@@ -28,28 +28,26 @@ def heavy_edge_matching(
     fit a balanced block.
     """
     rng = make_rng(seed)
-    order = rng.permutation(g.n)
-    match = np.full(g.n, UNMATCHED, dtype=np.int64)
-    vw = g.vertex_weights
+    order = rng.permutation(g.n).tolist()
+    match = [UNMATCHED] * g.n
+    vw = g.vertex_weights.tolist()
+    indptr, indices, weights = g.csr_lists()
     for v in order:
-        v = int(v)
         if match[v] != UNMATCHED:
             continue
-        nbrs = g.neighbors(v)
-        wts = g.incident_weights(v)
         best_u, best_w = v, -1.0
-        for u, w in zip(nbrs, wts):
-            u = int(u)
+        for i in range(indptr[v], indptr[v + 1]):
+            u = indices[i]
             if match[u] != UNMATCHED or u == v:
                 continue
             if max_vertex_weight is not None and vw[v] + vw[u] > max_vertex_weight:
                 continue
-            if w > best_w:
-                best_u, best_w = u, float(w)
+            if weights[i] > best_w:
+                best_u, best_w = u, weights[i]
         match[v] = best_u
         if best_u != v:
             match[best_u] = v
-    return match
+    return np.asarray(match, dtype=np.int64)
 
 
 def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
@@ -60,14 +58,13 @@ def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
     endpoint, which keeps the map deterministic given the matching.
     """
     n = match.shape[0]
-    coarse_of = np.full(n, -1, dtype=np.int64)
+    coarse_of = [-1] * n
     nxt = 0
-    for v in range(n):
+    for v, u in enumerate(match.tolist()):
         if coarse_of[v] >= 0:
             continue
-        u = int(match[v])
         coarse_of[v] = nxt
         if u != v and u != UNMATCHED:
             coarse_of[u] = nxt
         nxt += 1
-    return coarse_of, nxt
+    return np.asarray(coarse_of, dtype=np.int64), nxt

@@ -60,6 +60,27 @@ class TestSelectionChain:
         else:
             assert resolved == "numpy"
 
+    def test_numba_import_attempted_at_most_once(self, monkeypatch):
+        # A failed import is not cached by Python; resolution runs on
+        # every kernel call, so availability must be asked only once.
+        import builtins
+
+        from repro.core import backend
+
+        real_import = builtins.__import__
+        attempts = []
+
+        def counting_import(name, *args, **kwargs):
+            if name == "numba" or name.startswith("numba."):
+                attempts.append(name)
+            return real_import(name, *args, **kwargs)
+
+        backend._numba_importable.cache_clear()
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        for _ in range(100):
+            resolve_backend_name()
+        assert len(attempts) <= 1
+
     def test_set_default_backend_roundtrip(self):
         set_default_backend("numpy")
         assert get_backend() == "numpy"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graphs.builder import from_edges
+from repro.graphs.builder import from_arrays, from_edges
 from repro.graphs.graph import Graph
 
 
@@ -126,6 +126,23 @@ class TestValidation:
                 np.asarray([0]),
                 np.asarray([1.0]),
             )
+
+    # Non-finite weights used to slip through: an inf edge ended
+    # partition_kway in a bare AssertionError, a NaN edge was reported as
+    # an asymmetry, and an inf vertex weight put every vertex in one
+    # block that is_balanced() then accepted.
+    @pytest.mark.parametrize("w", [np.inf, -np.inf])
+    def test_rejects_infinite_edge_weight(self, w):
+        with pytest.raises(GraphFormatError, match="finite"):
+            from_arrays(2, [0], [1], [w])
+
+    def test_rejects_nan_edge_weight(self):
+        with pytest.raises(GraphFormatError, match="finite"):
+            from_arrays(2, [0], [1], [np.nan])
+
+    def test_rejects_infinite_vertex_weight(self):
+        with pytest.raises(GraphFormatError, match="vertex weights must be finite"):
+            from_arrays(3, [0, 1], [1, 2], vertex_weights=[1.0, np.inf, 1.0])
 
 
 class TestEdgeArraysCache:
