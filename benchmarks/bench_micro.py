@@ -23,7 +23,11 @@ from repro.core.labels import build_application_labeling
 from repro.core.objective import coco_plus
 from repro.core.swaps import swap_pass, swap_pass_reference
 from repro.graphs import generators as gen
-from repro.partialcube.djokovic import djokovic_classes, partial_cube_labeling
+from repro.partialcube.djokovic import (
+    _djokovic_classes_loop,
+    _djokovic_classes_vectorized,
+    partial_cube_labeling,
+)
 from repro.utils.bitops import permute_bits
 
 
@@ -122,13 +126,13 @@ def grid16_distances():
 
 def test_bench_djokovic_vectorized(benchmark, grid16_distances):
     gp, dist = grid16_distances
-    edge_class, classes = benchmark(djokovic_classes, gp, dist, "vectorized")
+    edge_class, classes = benchmark(_djokovic_classes_vectorized, gp, dist)
     assert len(classes) == 30
 
 
 def test_bench_djokovic_loop(benchmark, grid16_distances):
     gp, dist = grid16_distances
-    edge_class, classes = benchmark(djokovic_classes, gp, dist, "loop")
+    edge_class, classes = benchmark(_djokovic_classes_loop, gp, dist)
     assert len(classes) == 30
 
 

@@ -9,7 +9,7 @@ future PRs have a perf trajectory to compare against:
 
 The "before" measurements reconstruct the seed paths from primitives that
 are deliberately kept in-tree (``swap_pass_reference``, the per-vertex
-``bfs_distances`` loop, ``djokovic_classes(method="loop")``), so the
+``bfs_distances`` loop, ``_djokovic_classes_loop``), so the
 comparison stays honest as the library evolves.  Each measurement is
 best-of-``repeats`` wall time; the runner exits non-zero if a kernel
 regresses below its floor (swap_pass >= 5x, partial-cube labeling >= 3x),
@@ -20,14 +20,6 @@ representation (fattree2x7: 255 PEs, 254 classes, 4-word labels) --
 their floors prove the wide path stays vectorized, while the unchanged
 narrow floors prove the ``W == 1`` fast path did not slow down under the
 representation split.
-
-Where numba imports (the CI ``numba-kernels`` job; never the base
-image), the ``numba_*`` entries additionally time the compiled backend
-tiers on larger workloads: serial numba vs the numpy reference
-(recorded, no floor -- the win depends on the host), and numba-parallel
-vs serial numba (floored: the thread fan-out must actually pay for
-itself on the swap fixpoint and the sharded BFS).  Every tier is gated
-on byte-identical results before any timing.
 """
 
 from __future__ import annotations
@@ -41,13 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import available_backends, use_backend
 from repro.core.contraction import make_finest_level
-from repro.core.kernels import get_backend
 from repro.core.labels import build_application_labeling
 from repro.core.swaps import swap_pass, swap_pass_reference
 from repro.graphs import generators as gen
-from repro.graphs.algorithms import all_pairs_distances, bfs_distances
+from repro.graphs.algorithms import (
+    all_pairs_distances,
+    bfs_distances,
+    bipartition_colors,
+    is_connected,
+)
 from repro.partialcube.djokovic import (
     _djokovic_classes_loop,
     djokovic_classes,
@@ -62,10 +57,6 @@ FLOORS = {
     "partial_cube_labeling": 3.0,
     "wide_swap_pass": 3.0,
     "wide_partial_cube_labeling": 3.0,
-    # compiled tiers (present only where numba imports): the parallel
-    # backend must beat serial numba on the big workloads
-    "numba_parallel_swap_pass": 1.1,
-    "numba_parallel_all_pairs": 1.3,
 }
 
 
@@ -93,79 +84,6 @@ def _seed_partial_cube_labeling(gp):
     """The seed recognition path: one Python BFS per vertex + class loop."""
     distances = np.stack([bfs_distances(gp, v) for v in range(gp.n)])
     return _djokovic_classes_loop(gp, distances)
-
-
-def _backend_tiers(repeats: int) -> dict:
-    """Time the compiled backend tiers against each other (numba hosts).
-
-    Bigger workloads than the main entries: the parallel tier's floors
-    assert that thread fan-out wins, which needs enough work per thread
-    to amortize the fork/join.
-    """
-    tiers = [t for t in ("numba", "numba-parallel") if t in available_backends()]
-    if not tiers:
-        return {}
-
-    big = gen.barabasi_albert(20000, 4, seed=7)
-    big_edges = big.edge_arrays()
-    rng = np.random.default_rng(8)
-    labels = rng.choice(1 << 16, size=big.n, replace=False).astype(np.int64)
-    gp_big = gen.grid(40, 40)
-
-    def swap_with(name):
-        with use_backend(name):
-            lvl = make_finest_level(big_edges, labels.copy())
-            res = swap_pass(lvl, sign=1)
-        return res, lvl.labels
-
-    def apd_with(name):
-        with use_backend(name):
-            return all_pairs_distances(gp_big)
-
-    # Correctness gate doubles as the JIT warmup, so _best_of never
-    # times compilation.
-    ref_swap, ref_labels = swap_with("numpy")
-    ref_dist = apd_with("numpy")
-    for name in tiers:
-        got, got_labels = swap_with(name)
-        if got != ref_swap or not np.array_equal(ref_labels, got_labels):
-            raise AssertionError(f"{name} swap pass diverged from numpy: {got}")
-        if not np.array_equal(ref_dist, apd_with(name)):
-            raise AssertionError(f"{name} all-pairs BFS diverged from numpy")
-
-    results: dict = {}
-    swap_wl = "BA n=20000 m=4, sign=+1, 1 sweep"
-    apd_wl = "40x40 grid, n=1600 sources (25 bitset words)"
-    times_swap = {
-        name: _best_of(lambda name=name: swap_with(name), repeats)
-        for name in ["numpy", *tiers]
-    }
-    times_apd = {
-        name: _best_of(lambda name=name: apd_with(name), repeats)
-        for name in ["numpy", *tiers]
-    }
-    results["numba_swap_pass"] = {
-        "workload": swap_wl + " (numpy vs serial numba)",
-        "before_s": times_swap["numpy"],
-        "after_s": times_swap["numba"],
-    }
-    results["numba_all_pairs"] = {
-        "workload": apd_wl + " (numpy vs serial numba)",
-        "before_s": times_apd["numpy"],
-        "after_s": times_apd["numba"],
-    }
-    if "numba-parallel" in tiers:
-        results["numba_parallel_swap_pass"] = {
-            "workload": swap_wl + " (serial numba vs numba-parallel)",
-            "before_s": times_swap["numba"],
-            "after_s": times_swap["numba-parallel"],
-        }
-        results["numba_parallel_all_pairs"] = {
-            "workload": apd_wl + " (serial numba vs numba-parallel)",
-            "before_s": times_apd["numba"],
-            "after_s": times_apd["numba-parallel"],
-        }
-    return results
 
 
 def run(repeats: int = 5) -> dict:
@@ -225,10 +143,18 @@ def run(repeats: int = 5) -> dict:
 
     # --- djokovic classes alone (distances precomputed) -----------------
     dist = all_pairs_distances(gp)
+
+    def before_dj():
+        # the uncapped loop behind the same precondition checks
+        is_connected(gp)
+        bipartition_colors(gp)
+        return _djokovic_classes_loop(gp, dist)
+
     results["djokovic_classes"] = {
-        "workload": "16x16 grid, distances precomputed, production default (auto)",
-        "before_s": _best_of(lambda: djokovic_classes(gp, dist, "loop"), repeats),
-        "after_s": _best_of(lambda: djokovic_classes(gp, dist, "auto"), repeats),
+        "workload": "16x16 grid, distances precomputed, production default "
+        "(capped loop, batched fallback)",
+        "before_s": _best_of(before_dj, repeats),
+        "after_s": _best_of(lambda: djokovic_classes(gp, dist), repeats),
     }
 
     # --- wide labels: same kernels past the 63-class cap ----------------
@@ -290,9 +216,6 @@ def run(repeats: int = 5) -> dict:
         "after_s": _best_of(after_edges, repeats),
     }
 
-    # --- compiled backend tiers (numba hosts only) ----------------------
-    results.update(_backend_tiers(repeats))
-
     for name, entry in results.items():
         entry["speedup"] = entry["before_s"] / entry["after_s"]
         entry["floor"] = FLOORS.get(name)
@@ -301,8 +224,6 @@ def run(repeats: int = 5) -> dict:
         "meta": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "kernel_backend": get_backend(),
-            "backends_available": available_backends(),
             "repeats": repeats,
         },
         "kernels": results,
@@ -321,11 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         "(the recorded floors in the JSON stay unscaled)",
     )
     args = ap.parse_args(argv)
-    # The "before" measurements pin explicit djokovic strategies through
-    # the deprecated method= shim on purpose; don't let the shim warn.
-    import warnings
-
-    warnings.simplefilter("ignore", DeprecationWarning)
     payload = run(repeats=args.repeats)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     failed = []

@@ -52,8 +52,8 @@ def run_lint(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AST lint enforcing the repo's determinism, "
-        "backend-dispatch and serve-hygiene contracts",
+        description="AST lint enforcing the repo's determinism "
+        "and serve-hygiene contracts",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

@@ -1,14 +1,13 @@
 """The AST lint engine behind ``repro lint``.
 
-The repo's load-bearing guarantees -- byte-identical determinism,
-every hot kernel dispatching through ``current_backend()``, the serve
-layer's error taxonomy and asyncio discipline -- are *conventions*: a
-stray ``np.random.default_rng()`` or a ``time.sleep`` inside an
-``async def`` silently voids contracts the equivalence suites can only
-catch after the fact.  This engine walks the package's ASTs and turns
-those conventions into machine-checked rules with stable ids, so a
-violation fails CI at review time instead of surfacing as a
-nondeterministic artifact three PRs later.
+The repo's load-bearing guarantees -- byte-identical determinism, the
+serve layer's error taxonomy and asyncio discipline -- are
+*conventions*: a stray ``np.random.default_rng()`` or a ``time.sleep``
+inside an ``async def`` silently voids contracts the equivalence
+suites can only catch after the fact.  This engine walks the
+package's ASTs and turns those conventions into machine-checked rules
+with stable ids, so a violation fails CI at review time instead of
+surfacing as a nondeterministic artifact three PRs later.
 
 Pieces:
 
@@ -119,7 +118,7 @@ class FileContext:
     """Everything a rule may want to know about the file under scan.
 
     ``relpath`` is the path *relative to the package root* in posix
-    form (``serve/service.py``, ``core/backend.py``), so path-scoped
+    form (``serve/service.py``, ``core/kernels.py``), so path-scoped
     rules behave identically whether the scan started from the repo
     root, from ``src/``, or from a test fixture directory.
     """

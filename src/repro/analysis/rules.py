@@ -14,10 +14,6 @@ DET002    no wall-clock reads (``time.time``, ``datetime.now``, ...)
           that leaks into ``PipelineConfig.identity()`` or an
           artifact-store key silently splits the content address.
           Timing uses ``utils.stopwatch`` (``perf_counter``).
-BKD001    hot kernels are reached through ``current_backend()`` (or
-          the facade functions that wrap it), never by direct
-          reference-implementation call -- a bypassed seam reverts
-          call sites to one tier and voids the equivalence contract.
 SRV001    no blocking calls (``time.sleep``, sync socket/file IO,
           ``subprocess``) inside ``async def`` in ``serve/``: one
           blocked event loop stalls every in-flight request.
@@ -57,7 +53,6 @@ from repro.analysis.engine import FileContext, Finding, PathScopedRule, Rule
 __all__ = [
     "DeterministicRandomness",
     "NoWallClockInIdentity",
-    "BackendDispatchOnly",
     "NoBlockingInAsyncServe",
     "ServeErrorTaxonomy",
     "RegisterAtImportScope",
@@ -184,128 +179,6 @@ class NoWallClockInIdentity(PathScopedRule):
                     node,
                     f"{'.'.join(chain)}() reads the wall clock",
                 )
-
-
-class BackendDispatchOnly(PathScopedRule):
-    """BKD001: kernels go through ``current_backend()`` or a facade."""
-
-    id = "BKD001"
-    title = "kernel reached without the current_backend() seam"
-    hint = (
-        "call the facade (core.kernels / utils.bitops / "
-        "graphs.algorithms / partialcube.djokovic) or dispatch via "
-        "repro.core.backend.current_backend()"
-    )
-    exclude = ("core/backend.py", "core/backend_numba.py", "analysis/")
-
-    #: KernelBackend protocol methods: attribute calls on anything that
-    #: is not the seam (or a module facade) bypass dispatch.
-    KERNEL_METHODS = {
-        "vertex_lsb_sums",
-        "greedy_fixpoint",
-        "all_pairs_distances",
-        "argsort_labels",
-        "popcount_labels",
-        "pairwise_hamming",
-        "djokovic_classes",
-    }
-
-    #: Reference implementations with their sanctioned home modules
-    #: (the facade that owns them may call them; nobody else may).
-    REFERENCE_IMPLS = {
-        "_djokovic_classes_loop": ("partialcube/djokovic.py",),
-        "_djokovic_classes_vectorized": ("partialcube/djokovic.py",),
-        "swap_pass_reference": ("core/swaps.py",),
-        "kl_swap_pass_reference": ("core/swaps.py",),
-        "build_kernels": (),
-        "_bitwise_count_fallback": ("utils/bitops.py",),
-        "_bitwise_count_swar": ("utils/bitops.py",),
-    }
-
-    #: Backend classes: constructing one outside the backend module
-    #: pins call sites to a single tier.
-    BACKEND_CLASSES = {"NumpyBackend", "NumbaBackend", "NumbaParallelBackend"}
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        rel = ctx.relpath.as_posix()
-        module_names = _imported_module_names(ctx.tree)
-        backend_vars = _names_bound_from(ctx.tree, "current_backend")
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                modname = ""
-                if isinstance(node, ast.ImportFrom):
-                    modname = node.module or ""
-                    imported = [a.name for a in node.names]
-                else:
-                    imported = [a.name for a in node.names]
-                if modname.endswith("backend_numba") or any(
-                    n.endswith("backend_numba") for n in imported
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "repro.core.backend_numba is backend-internal; import "
-                        "repro.core.backend and dispatch instead",
-                    )
-                if isinstance(node, ast.ImportFrom):
-                    for alias in node.names:
-                        if alias.name in self.BACKEND_CLASSES:
-                            yield ctx.finding(
-                                self,
-                                node,
-                                f"importing {alias.name} pins call sites to one "
-                                "tier; use current_backend()",
-                            )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-                homes = self.REFERENCE_IMPLS.get(name)
-                if homes is not None and rel not in homes:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"direct reference-implementation call {name}() "
-                        "bypasses the backend seam",
-                    )
-                elif name in self.BACKEND_CLASSES:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"instantiating {name} pins this call site to one "
-                        "tier; use current_backend()",
-                    )
-            elif isinstance(func, ast.Attribute) and func.attr in self.KERNEL_METHODS:
-                recv = func.value
-                # Sanctioned receivers: the seam itself, a variable bound
-                # from it, or a module facade (module-attribute call).
-                if isinstance(recv, ast.Call) and _attr_chain(recv.func)[-1:] == (
-                    "current_backend",
-                ):
-                    continue
-                if isinstance(recv, ast.Name) and (
-                    recv.id in backend_vars or recv.id in module_names
-                ):
-                    continue
-                chain = _attr_chain(recv)
-                if chain and chain[0] in module_names:
-                    continue
-                yield ctx.finding(
-                    self,
-                    node,
-                    f".{func.attr}() on {ast.unparse(recv)!r} bypasses "
-                    "current_backend() dispatch",
-                )
-            elif isinstance(func, ast.Attribute) and func.attr in self.REFERENCE_IMPLS:
-                if rel not in self.REFERENCE_IMPLS[func.attr]:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"direct reference-implementation call .{func.attr}() "
-                        "bypasses the backend seam",
-                    )
 
 
 class NoBlockingInAsyncServe(PathScopedRule):
@@ -679,45 +552,11 @@ class StructuredLoggingOnly(PathScopedRule):
                 )
 
 
-def _imported_module_names(tree: ast.Module) -> set[str]:
-    """Local names bound to *modules* by imports (facade receivers)."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                # `from repro.utils import bitops` binds a module; we
-                # cannot see that statically, so treat any from-import
-                # of a lowercase bare name as a potential module facade.
-                bound = alias.asname or alias.name
-                if "." not in bound and bound.islower():
-                    names.add(bound)
-    return names
-
-
-def _names_bound_from(tree: ast.Module, callee: str) -> set[str]:
-    """Variable names ever assigned from ``callee(...)`` in this file."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and _attr_chain(node.value.func)[-1:] == (callee,)
-        ):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
 def default_rules() -> tuple[Rule, ...]:
     """The full rule pack, in reporting-priority order."""
     return (
         DeterministicRandomness(),
         NoWallClockInIdentity(),
-        BackendDispatchOnly(),
         NoBlockingInAsyncServe(),
         ServeErrorTaxonomy(),
         RegisterAtImportScope(),

@@ -55,12 +55,6 @@ _LAZY = {
     "CaseMapping": "repro.api.stages",
     "KwayPartition": "repro.api.stages",
     "TimerEnhance": "repro.api.stages",
-    # Kernel-backend selection (the "kernel_backend" registry kind).
-    "KernelBackend": "repro.core.backend",
-    "set_default_backend": "repro.core.backend",
-    "use_backend": "repro.core.backend",
-    "current_backend": "repro.core.backend",
-    "available_backends": "repro.core.backend",
 }
 
 __all__ = [

@@ -85,32 +85,18 @@ class PipelineConfig:
     pre_verify: tuple[str, ...] = ()
     post_verify: tuple[str, ...] = ()
     reports: tuple[str, ...] = ()
-    #: Kernel backend this pipeline's runs execute under (a
-    #: ``kernel_backend`` registry name or ``"auto"``; ``""`` inherits
-    #: the process default -- see :func:`repro.core.backend.set_default_backend`).
-    backend: str = ""
 
     #: Fields deliberately **excluded** from :meth:`identity` -- the
     #: explicit list the CFG001 lint rule checks, so "this knob cannot
     #: change results" is a reviewed decision, not a silent ``.pop()``.
-    #: ``backend``: every registered kernel backend is contracted
-    #: byte-identical to the numpy reference (the equivalence suite
-    #: enforces it), so one identity / artifact cell covers a run no
-    #: matter which execution tier computed it.
-    IDENTITY_EXCLUDED: ClassVar[frozenset[str]] = frozenset({"backend"})
+    #: Every field currently reaches the identity.
+    IDENTITY_EXCLUDED: ClassVar[frozenset[str]] = frozenset()
 
     def __post_init__(self) -> None:
         if self.seed_policy not in ("stream", "raw"):
             raise ConfigurationError(
                 f"seed_policy must be 'stream' or 'raw', got {self.seed_policy!r}"
             )
-        if self.backend:
-            from repro.core.backend import resolve_backend_name
-
-            try:
-                resolve_backend_name(self.backend)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
 
     def identity(self) -> dict:
         """JSON-able echo of every result-relevant knob.
@@ -158,9 +144,6 @@ class PipelineResult:
     reports: dict = field(default_factory=dict)
     identity: dict = field(default_factory=dict)
     identity_hash: str = ""
-    #: Resolved kernel backend the run executed under (provenance only;
-    #: never part of ``identity`` -- backends are byte-identical).
-    backend: str = ""
 
     @property
     def elapsed_seconds(self) -> float:
@@ -312,27 +295,7 @@ class Pipeline:
         ``partition`` and ``mu`` short-circuit the corresponding stages
         (the experiment harness shares one partition across cases; the
         ``enhance`` CLI starts from a mapping file).
-
-        The whole run executes under ``config.backend`` (a thread-local
-        kernel-backend scope, so concurrent serve-tier runs with
-        different configs never leak into each other); the resolved
-        backend name is recorded on ``result.backend``.
         """
-        from repro.core.backend import get_backend, use_backend
-
-        with use_backend(self.config.backend or None):
-            result = self._run_stages(ga, mu=mu, partition=partition, seed=seed)
-            result.backend = get_backend()
-        return result
-
-    def _run_stages(
-        self,
-        ga: Graph,
-        *,
-        mu: np.ndarray | None = None,
-        partition: Partition | None = None,
-        seed: SeedLike = None,
-    ) -> PipelineResult:
         cfg = self.config
         topology = self.topology
         partition_given = partition is not None

@@ -125,7 +125,6 @@ def cmd_map(args) -> int:
             seed_policy="raw",
             post_verify=("mapping-valid",) + tuple(args.verify),
             reports=tuple(args.report),
-            backend=args.backend,
         ),
     )
     res = pipe.run(g, seed=args.seed)
@@ -154,7 +153,6 @@ def cmd_enhance(args) -> int:
             pre_verify=("mapping-valid",),
             post_verify=("balance-preserved",) + tuple(args.verify),
             reports=tuple(args.report),
-            backend=args.backend,
         ),
     )
     res = pipe.run(g, mu=mu, seed=args.seed)
@@ -194,7 +192,6 @@ def cmd_serve(args) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset,
             faults=args.faults,
-            backend=args.backend,
             response_cache=args.response_cache,
             response_cache_bytes=args.response_cache_mb * 1024 * 1024,
             shards=args.shards,
@@ -266,15 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--out", default=None)
     q.set_defaults(fn=cmd_partition)
 
-    def add_backend_flag(parser) -> None:
-        parser.add_argument(
-            "--backend",
-            default="",
-            metavar="NAME",
-            help="kernel backend (numpy, numba, numba-parallel, auto); "
-            "default: auto-select, honouring repro.api.set_default_backend",
-        )
-
     def add_hook_flags(parser) -> None:
         parser.add_argument(
             "--verify",
@@ -300,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--epsilon", type=float, default=0.03)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--out", default=None)
-    add_backend_flag(q)
     add_hook_flags(q)
     q.set_defaults(fn=cmd_map)
 
@@ -312,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--strategy", choices=["greedy", "kl"], default="greedy")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--out", default=None)
-    add_backend_flag(q)
     add_hook_flags(q)
     q.set_defaults(fn=cmd_enhance)
 
@@ -379,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--profile", action="store_true",
                    help="attach cProfile top-frame hotspots to each "
                    "compute span (diagnostic; adds overhead)")
-    add_backend_flag(q)
     q.set_defaults(fn=cmd_serve)
 
     q = sub.add_parser("loadgen", help="deterministic open-loop load generator")
@@ -419,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser(
         "lint",
-        help="AST lint enforcing the repo's determinism / backend-dispatch "
-        "/ serve-hygiene contracts (see docs/development.md)",
+        help="AST lint enforcing the repo's determinism / serve-hygiene "
+        "contracts (see docs/development.md)",
     )
     add_lint_arguments(q)
     q.set_defaults(fn=run_lint)

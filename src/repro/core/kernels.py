@@ -43,33 +43,20 @@ because corrections only propagate along edges whose earlier endpoint
 actually swaps.  The result is byte-identical to the scalar reference
 whenever edge weights are exactly representable (e.g. integer-valued,
 which all contracted levels of unit-weight graphs are).
-
-Backend seam
-------------
-The innermost kernels -- the per-vertex LSB reduction and the fixpoint
-solve -- dispatch through the :mod:`repro.core.backend` protocol
-(``kernel_backend`` registrations in the unified registry: ``numpy`` /
-``numba`` / ``numba-parallel``).  The legacy ``get_backend`` /
-``set_backend`` / ``available_backends`` names are kept here as thin
-shims over that module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import current_backend, resolve_backend_name, set_default_backend
-from repro.core.backend import available_backends  # noqa: F401  (re-exported shim)
 from repro.core.contraction import Level
 from repro.utils.bitops import argsort_labels, label_lsb
-from repro.utils.segments import build_csr
+from repro.utils.segments import build_csr, segment_sum
 
 __all__ = [
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "level_csr",
     "vertex_lsb_sums",
+    "greedy_fixpoint",
     "sibling_pairs",
     "sibling_pair_weights",
     "pair_interactions",
@@ -77,23 +64,6 @@ __all__ = [
     "pair_delta",
     "batch_swap_pass",
 ]
-
-
-# ----------------------------------------------------------------------
-# Backend seam (compatibility shims over repro.core.backend)
-# ----------------------------------------------------------------------
-def get_backend() -> str:
-    """Resolved name of the active kernel backend (see ``repro.core.backend``)."""
-    return resolve_backend_name()
-
-
-def set_backend(name: str | None) -> None:
-    """Force a process-default backend (``None`` restores env/auto).
-
-    Shim over :func:`repro.core.backend.set_default_backend`, kept for
-    the historical ``core.kernels`` import path.
-    """
-    set_default_backend(name)
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +201,47 @@ def vertex_lsb_sums(
     One gather + one segment reduction over the whole CSR -- this is the
     O(|E|) inner kernel of the batch swap pass.  Only the LSB of each
     label matters, so both width regimes reduce to the same int64 bit
-    array before any arithmetic (and before the backend dispatch).
+    array before any arithmetic.
     """
     b = label_lsb(labels)
-    return current_backend().vertex_lsb_sums(b, indptr, indices, weights)
+    # The source LSB is constant within a CSR segment, so instead of
+    # gathering per-entry source labels:
+    #   S[u] = W[u] - 2*T[u]  when lsb_u == 0
+    #   S[u] = 2*T[u] - W[u]  when lsb_u == 1
+    # with W the per-vertex weight sums and T the weight sums over
+    # neighbors whose LSB is set.
+    tw = segment_sum(weights * b[indices], indptr)
+    wtot = segment_sum(weights, indptr)
+    return np.where(b == 1, 2.0 * tw - wtot, wtot - 2.0 * tw)
+
+
+def greedy_fixpoint(
+    deltas0: np.ndarray,
+    own: np.ndarray,
+    dst: np.ndarray,
+    c0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the sequential-sweep swap fixpoint (see module docstring).
+
+    ``deltas0`` are the start-of-sweep gains of the ``k`` sibling
+    pairs; ``(own, dst, c0)`` list the ordered pair interactions
+    (``dst < own``) with their initial contributions.  Returns
+    ``(swap, deltas)``: the converged decision vector and the gains
+    it was judged by.  Solved by synchronous iteration -- the correct
+    prefix grows every step, so at most ``k`` iterations.
+    """
+    k = deltas0.shape[0]
+    swap = deltas0 < 0.0
+    deltas = deltas0
+    for _ in range(k + 1):
+        act = swap[dst]
+        corr = np.bincount(own[act], weights=c0[act], minlength=k)
+        deltas = deltas0 - 2.0 * corr
+        new_swap = deltas < 0.0
+        if np.array_equal(new_swap, swap):
+            break
+        swap = new_swap
+    return swap, deltas
 
 
 def batch_pair_deltas(
@@ -334,7 +341,6 @@ def batch_swap_pass(
     own, dst, src_keep, nbrs_keep, w_keep = pair_interactions(
         pairs, csr, n, ordered=True
     )
-    backend = current_backend()
     for _ in range(max(1, sweeps)):
         # Start-of-sweep gains for every pair in one vectorized pass.
         deltas0 = batch_pair_deltas(labels, pairs, csr, sign, pair_w)
@@ -342,9 +348,8 @@ def batch_swap_pass(
         c0 = sign * (w_keep * (1.0 - 2.0 * (b[src_keep] ^ b[nbrs_keep])))
         # Solve the sequential-sweep fixpoint by synchronous iteration:
         # the correct prefix of the decision vector grows every step, so
-        # at most k iterations -- in practice a handful.  The solve is a
-        # backend kernel (compiled + thread-parallel on the numba tiers).
-        swap, deltas = backend.greedy_fixpoint(deltas0, own, dst, c0)
+        # at most k iterations -- in practice a handful.
+        swap, deltas = greedy_fixpoint(deltas0, own, dst, c0)
         cu, cv = pu[swap], pv[swap]
         if cu.size:
             tmp = labels[cu].copy()

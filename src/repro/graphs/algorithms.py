@@ -81,16 +81,39 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     gather + ``np.bitwise_or.reduceat`` over the CSR -- ``O(m * n / 64)``
     word operations per level instead of ``n`` separate Python BFS runs.
     Unreached pairs (disconnected graphs) get :data:`UNREACHED`.
-
-    Dispatches through the active kernel backend
-    (:mod:`repro.core.backend`): the numpy reference lives on
-    :class:`~repro.core.backend.KernelBackend`; the numba tiers run the
-    same bitset construction as a compiled kernel sharded by source
-    words, thread-parallel under ``numba-parallel``.
     """
-    from repro.core.backend import current_backend
-
-    return current_backend().all_pairs_distances(g.indptr, g.indices, g.n)
+    n, indptr, indices = g.n, g.indptr, g.indices
+    if n == 0:
+        return np.empty((0, 0), dtype=np.int64)
+    words = (n + 63) // 64
+    idx = np.arange(n)
+    reached = np.zeros((n, words), dtype=np.uint64)
+    reached[idx, idx // 64] = np.uint64(1) << (idx % 64).astype(np.uint64)
+    dist = np.full((n, n), UNREACHED, dtype=np.int64)
+    dist[idx, idx] = 0
+    counts = np.diff(indptr)
+    nonempty = counts > 0
+    starts = indptr[:-1][nonempty]
+    frontier = reached.copy()
+    level = 0
+    while frontier.any():
+        level += 1
+        nxt = np.zeros_like(reached)
+        if indices.size:
+            # nxt[u] = OR of the frontier bitsets of u's neighbors.
+            nxt[nonempty] = np.bitwise_or.reduceat(
+                frontier[indices], starts, axis=0
+            )
+        new = nxt & ~reached
+        if not new.any():
+            break
+        reached |= new
+        # Decode the fresh (vertex, source) bits into distances.
+        bits = np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
+        vv, ss = np.nonzero(bits[:, :n])
+        dist[vv, ss] = level
+        frontier = new
+    return dist
 
 
 def connected_components(g: Graph) -> np.ndarray:

@@ -8,6 +8,7 @@ interoperability and for cross-checking our algorithms in tests.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 
 import numpy as np
@@ -39,6 +40,7 @@ class GraphBuilder:
 
     def add_edge(self, u: int, v: int, w: float = 1.0) -> "GraphBuilder":
         """Add edge ``{u, v}``; duplicate edges have their weights summed."""
+        u, v = _vertex_id(u), _vertex_id(v)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise GraphFormatError(f"edge ({u}, {v}) out of range for n={self.n}")
         if u == v:
@@ -55,8 +57,12 @@ class GraphBuilder:
         for e in edges:
             if len(e) == 2:
                 self.add_edge(e[0], e[1])
-            else:
+            elif len(e) == 3:
                 self.add_edge(e[0], e[1], e[2])
+            else:
+                raise GraphFormatError(
+                    f"edge {tuple(e)!r} must be (u, v) or (u, v, w)"
+                )
         return self
 
     def set_vertex_weights(self, vw) -> "GraphBuilder":
@@ -72,6 +78,29 @@ class GraphBuilder:
         vs = np.asarray(self._vs, dtype=np.int64)
         ws = np.asarray(self._ws, dtype=np.float64)
         return _csr_from_coo(self.n, us, vs, ws, self._vertex_weights, self.name)
+
+
+def _vertex_id(x) -> int:
+    """``x`` as a Python int; a fractional or non-numeric id is an error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        pass
+    if isinstance(x, (float, np.floating)) and float(x).is_integer():
+        return int(x)
+    raise GraphFormatError(f"vertex id {x!r} is not an integer")
+
+
+def _vertex_ids(a) -> np.ndarray:
+    """Array form of :func:`_vertex_id`: int64 ids, rejecting fractions."""
+    arr = np.asarray(a)
+    if arr.dtype.kind in "iub":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind != "f" or not np.all(
+        np.isfinite(arr) & (arr == np.floor(arr))
+    ):
+        raise GraphFormatError("vertex ids must be integers")
+    return arr.astype(np.int64)
 
 
 def _csr_from_coo(
@@ -137,8 +166,8 @@ def from_arrays(
     name: str = "",
 ) -> Graph:
     """Vectorized construction from parallel COO arrays (one direction)."""
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
+    us = _vertex_ids(us)
+    vs = _vertex_ids(vs)
     if ws is None:
         ws = np.ones(us.shape[0], dtype=np.float64)
     ws = np.asarray(ws, dtype=np.float64)

@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.api.registry import INITIAL_MAPPING, REGISTRY, RegistryView
+from repro.api.registry import INITIAL_MAPPING, REGISTRY
 from repro.errors import MappingError
 from repro.graphs.graph import Graph
 from repro.mapping.commgraph import build_communication_graph
@@ -68,11 +68,6 @@ for _algo in (
     MappingAlgorithm("c4", "greedy-min", _greedy_min),
 ):
     REGISTRY.register(INITIAL_MAPPING, _algo.case, _algo)
-
-
-#: The pre-registry module-private dict, kept as a *live* view: reads
-#: reflect the unified registry and item assignment registers through.
-_REGISTRY = RegistryView(REGISTRY, INITIAL_MAPPING)
 
 
 def available_algorithms() -> dict[str, MappingAlgorithm]:

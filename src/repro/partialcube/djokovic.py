@@ -28,7 +28,6 @@ structure directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +86,7 @@ class PartialCubeLabeling:
         return unpack_bit_matrix(self.labels, self.dim)
 
 
-def djokovic_classes(
-    g: Graph, distances: np.ndarray | None = None, method: str | None = None
-):
+def djokovic_classes(g: Graph, distances: np.ndarray | None = None):
     """Compute the Djokovic classes of a connected bipartite graph.
 
     Returns ``(edge_class, classes)`` where ``edge_class`` assigns every
@@ -98,30 +95,12 @@ def djokovic_classes(
     :class:`NotPartialCubeError` if classes overlap (step 3 of §3) or the
     graph is not bipartite / not connected.
 
-    The implementation strategy is owned by the active kernel backend
-    (:meth:`repro.core.backend.KernelBackend.djokovic_classes`): the
-    reference hybrid runs the one-class-at-a-time loop capped at 64
-    classes -- ``O(C * (n + m))``, unbeatable while classes pack into
-    one word -- and falls back to the fully batched ``(m, n)``
-    side-matrix computation when the cap is hit (trees, where every edge
-    is a class).  All strategies produce identical output on partial
-    cubes, so callers never branch on representation or method.
-
-    ``method`` (``"loop"`` / ``"vectorized"`` / ``"auto"``) is a
-    **deprecated** shim for the pre-backend API; passing it still forces
-    the named strategy but warns.
+    Runs the one-class-at-a-time loop capped at 64 classes --
+    ``O(C * (n + m))``, unbeatable while classes pack into one word --
+    and falls back to the fully batched ``(m, n)`` side-matrix
+    computation when the cap is hit (trees, where every edge is a
+    class).  Both strategies produce identical output on partial cubes.
     """
-    if method is not None:
-        if method not in ("auto", "vectorized", "loop"):
-            raise ValueError(
-                f"unknown method {method!r}; expected auto, vectorized or loop"
-            )
-        warnings.warn(
-            "djokovic_classes(method=...) is deprecated; the strategy is "
-            "owned by the kernel backend (see repro.core.backend)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if g.n == 0:
         return np.empty(0, np.int64), []
     if not is_connected(g):
@@ -132,20 +111,10 @@ def djokovic_classes(
         raise NotPartialCubeError("graph is not bipartite", reason="not-bipartite")
     if distances is None:
         distances = all_pairs_distances(g)
-    if method == "loop":
-        return _djokovic_classes_loop(g, distances)
-    if method == "vectorized":
-        return _djokovic_classes_vectorized(g, distances)
-    if method == "auto":
-        capped = _djokovic_classes_loop(g, distances, max_classes=MAX_LABEL_BITS + 1)
-        if capped is not None:
-            return capped
-        return _djokovic_classes_vectorized(g, distances)
-    # Imported lazily: repro.core's package __init__ imports this module,
-    # so a top-level import of repro.core.backend would cycle.
-    from repro.core.backend import current_backend
-
-    return current_backend().djokovic_classes(g, distances)
+    capped = _djokovic_classes_loop(g, distances, max_classes=MAX_LABEL_BITS + 1)
+    if capped is not None:
+        return capped
+    return _djokovic_classes_vectorized(g, distances)
 
 
 def _djokovic_classes_vectorized(g: Graph, distances: np.ndarray):
@@ -367,8 +336,6 @@ def partial_cube_labeling(g: Graph, verify: bool = True) -> PartialCubeLabeling:
         cut_edges = ()
     result = PartialCubeLabeling(labels=labels, dim=dim, cut_edges=cut_edges)
     if verify:
-        # Backend-dispatched in both representations (compiled SWAR loop
-        # on the numba tiers; the numpy reference is unchanged).
         ham = pairwise_hamming(labels)
         if not np.array_equal(ham, distances):
             raise NotPartialCubeError(

@@ -61,12 +61,10 @@ class ResponseCache:
     not stored (it would evict everything for one key).  Either bound at
     ``0`` disables the cache entirely.
 
-    Keys must already be backend-independent: the scheduler builds them
-    from ``MapRequest.group_key()`` (which hashes
-    ``PipelineConfig.identity()``, excluding ``backend`` per
-    ``IDENTITY_EXCLUDED``) plus ``work_key()`` -- so two requests
-    differing only in kernel backend share one entry, exactly as they
-    share one batch group.
+    The scheduler builds keys from ``MapRequest.group_key()`` (which
+    hashes ``PipelineConfig.identity()``) plus ``work_key()``, so two
+    requests share one entry exactly when they share one batch group
+    and the same work.
     """
 
     def __init__(

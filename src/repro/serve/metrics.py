@@ -283,10 +283,4 @@ class MetricsRegistry:
                 if isinstance(value, (int, float)):
                     lines.append(f"# TYPE {ns}_{key} gauge")
                     lines.append(f"{ns}_{key} {value:g}")
-                elif isinstance(value, str):
-                    # Prometheus "info" idiom: the string rides in a
-                    # label on a constant-1 gauge (text exposition has
-                    # no string samples).
-                    lines.append(f"# TYPE {ns}_{key}_info gauge")
-                    lines.append(f'{ns}_{key}_info{{value="{value}"}} 1')
         return "\n".join(lines) + "\n"

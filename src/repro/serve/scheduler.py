@@ -880,16 +880,30 @@ class BatchScheduler:
                 except Exception as exc:  # noqa: BLE001 - refiled per item
                     outcomes.append(exc)
             return outcomes
-        graphs = [req.graph.build() for req in reqs]
+        # A malformed inline graph fails its own request only; the rest
+        # of the batch still runs.
+        outcomes = [None] * len(reqs)
+        graphs: dict[int, Graph] = {}
+        for i, req in enumerate(reqs):
+            try:
+                graphs[i] = req.graph.build()
+            except Exception as exc:  # noqa: BLE001 - refiled per item
+                outcomes[i] = exc
+        if not graphs:
+            return outcomes
         try:
             results = pipe.run_batch(
-                graphs, seeds=[req.seed for req in reqs], jobs=self.jobs
+                list(graphs.values()),
+                seeds=[reqs[i].seed for i in graphs],
+                jobs=self.jobs,
             )
         except Exception as exc:  # noqa: BLE001 - refiled per item
-            return [exc for _ in reqs]
-        for result, ctx in zip(results, ctxs):
-            result.record_spans(self.tracer, ctx)
-        return results
+            results = [exc for _ in graphs]
+        for i, result in zip(graphs, results):
+            outcomes[i] = result
+            if not isinstance(result, BaseException):
+                result.record_spans(self.tracer, ctxs[i])
+        return outcomes
 
     def _compute_with_retries(
         self,

@@ -45,7 +45,6 @@ from repro.obs.trace import WIRE_KEY, SpanContext
 
 from repro.api.pipeline import PipelineConfig
 from repro.api.registry import REGISTRY, TOPOLOGY, VERIFY
-from repro.core.backend import get_backend, set_default_backend
 from repro.core.config import TimerConfig
 from repro.errors import (
     CircuitOpenError,
@@ -133,7 +132,7 @@ register_admission_hook(None)
 _CONFIG_KEYS = {
     "partition", "initial_mapping", "case", "enhance", "epsilon",
     "seed_policy", "nh", "n_hierarchies", "strategy", "swap_strategy",
-    "verify", "report", "backend",
+    "verify", "report",
 }
 
 
@@ -166,10 +165,6 @@ def parse_config(
         pre_verify=(admission_hook,),
         post_verify=("mapping-valid",) + verify,
         reports=reports,
-        # Note: backend is excluded from PipelineConfig.identity(), so
-        # requests differing only in backend still share a batch group
-        # and a response-cache cell (the backends are byte-identical).
-        backend=str(payload.get("backend", "")),
     )
 
 
@@ -378,7 +373,6 @@ class MappingService:
             "cache": self.scheduler.cache.stats(),
             "breakers": self.scheduler.breaker_snapshot(),
             "faults_active": self.scheduler.faults.active,
-            "kernel_backend": get_backend(),
         }
         if self.scheduler.pool is not None:
             body["pool"] = self.scheduler.pool.stats()
@@ -397,7 +391,6 @@ class MappingService:
             "cache_disk_stores": stats["disk"]["stores"],
             "cache_disk_corrupt": stats["disk"]["corrupt"],
             "labelings_computed": stats["labelings_computed"],
-            "kernel_backend": get_backend(),
             "trace_buffer_traces": trace_stats["traces"],
             "trace_buffer_spans": trace_stats["spans"],
             "trace_buffer_dropped_spans": trace_stats["dropped_spans"],
@@ -687,9 +680,6 @@ class ServeSettings:
     response_cache: int = 128
     #: byte budget of the run-identity response cache (0 disables it)
     response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES
-    #: process-default kernel backend ("" = auto); per-request configs
-    #: can still name their own (``config.backend`` on the wire)
-    backend: str = ""
     #: > 0 serves through a consistent-hash front end over this many
     #: backend worker processes (see :mod:`repro.serve.shard`)
     shards: int = 0
@@ -706,10 +696,6 @@ class ServeSettings:
 
 
 def build_service(settings: ServeSettings) -> MappingService:
-    if settings.backend:
-        # Validates the name up front (bad --backend fails at boot, not
-        # on the first request) and becomes the process-wide default.
-        set_default_backend(settings.backend)
     cache = TopologyCache(
         max_sessions=settings.max_sessions, disk_dir=settings.labeling_cache
     )

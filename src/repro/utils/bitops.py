@@ -227,13 +227,12 @@ def popcount_labels(x: np.ndarray) -> np.ndarray:
     """Per-label popcount: one int per label row in either representation.
 
     Accepts any array whose *last* axis is the word axis for wide input
-    (so pairwise ``(n, n, W)`` XOR tensors reduce correctly).  Dispatches
-    through the active kernel backend (the numba tiers run a compiled
-    SWAR reduction over the word axis).
+    (so pairwise ``(n, n, W)`` XOR tensors reduce correctly).
     """
-    from repro.core.backend import current_backend
-
-    return current_backend().popcount_labels(x)
+    x = np.asarray(x)
+    if x.ndim >= 2 and x.dtype == np.uint64:
+        return bitwise_count(x).sum(axis=-1, dtype=np.int64)
+    return bitwise_count(x)
 
 
 def hamming_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,14 +243,20 @@ def hamming_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pairwise_hamming(labels: np.ndarray, block: int = 256) -> np.ndarray:
     """``(n, n)`` Hamming distance matrix of a label array.
 
-    Dispatches through the active kernel backend: the numpy reference is
-    row-blocked so the wide case never materializes the full
-    ``(n, n, W)`` XOR tensor at once; the numba tiers run a compiled
-    SWAR loop with no intermediate tensors at all.
+    Row-blocked so the wide case never materializes the full
+    ``(n, n, W)`` XOR tensor at once.
     """
-    from repro.core.backend import current_backend
-
-    return current_backend().pairwise_hamming(labels, block=block)
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    if labels.ndim == 1:
+        return bitwise_count(labels[:, None] ^ labels[None, :])
+    out = np.empty((n, n), dtype=np.int64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        out[lo:hi] = bitwise_count(
+            labels[lo:hi, None, :] ^ labels[None, :, :]
+        ).sum(axis=-1, dtype=np.int64)
+    return out
 
 
 def label_mask(width: int, labels: np.ndarray) -> "int | np.ndarray":
@@ -399,12 +404,21 @@ def argsort_labels(labels: np.ndarray) -> np.ndarray:
     :data:`RADIX_SORT_MAX_WORDS` *varying* words the memcmp-based void
     argsort is replaced by a radix-style pass -- ``np.lexsort`` over the
     varying word columns, least significant first.  All paths are
-    stable, so they produce the identical permutation; the choice
-    dispatches through the active kernel backend.
+    stable, so they produce the identical permutation.
     """
-    from repro.core.backend import current_backend
-
-    return current_backend().argsort_labels(labels)
+    labels = np.asarray(labels)
+    if labels.ndim == 1:
+        return np.argsort(labels, kind="stable")
+    n, width = labels.shape
+    if n >= RADIX_SORT_THRESHOLD:
+        if width <= RADIX_SORT_MAX_WORDS:
+            return np.lexsort(labels.T)
+        varying = np.nonzero(labels.min(axis=0) != labels.max(axis=0))[0]
+        if varying.size == 0:
+            return np.arange(n, dtype=np.int64)
+        if varying.size <= RADIX_SORT_MAX_WORDS:
+            return np.lexsort(labels[:, varying].T)
+    return np.argsort(label_sort_keys(labels), kind="stable")
 
 
 def labels_equal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

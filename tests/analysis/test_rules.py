@@ -3,8 +3,8 @@ near-miss that MUST NOT.
 
 The near-misses are modeled on real shipped code (``np.random.Generator``
 type annotations, ``time.sleep`` on the executor path, the
-``current_backend()`` facades), so the rules stay precise enough to run
-over ``src/`` without drowning the tree in suppressions.
+``PipelineConfig`` identity loop), so the rules stay precise enough to
+run over ``src/`` without drowning the tree in suppressions.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from pathlib import PurePosixPath
 
 from repro.analysis.engine import lint_source
 from repro.analysis.rules import (
-    BackendDispatchOnly,
     ConfigIdentityCoverage,
     DeterministicRandomness,
     NoBlockingInAsyncServe,
@@ -102,52 +101,6 @@ class TestDET002:
             "    return time.perf_counter() - t0, time.monotonic()\n"
         )
         assert run_rule(NoWallClockInIdentity(), src, "experiments/runner.py") == []
-
-
-# ----------------------------------------------------------------------
-# BKD001
-# ----------------------------------------------------------------------
-class TestBKD001:
-    def test_fires_on_direct_backend_method(self):
-        src = (
-            "from repro.core.backend import NumpyBackend\n"
-            "def distances(indptr, indices, n):\n"
-            "    return NumpyBackend().all_pairs_distances(indptr, indices, n)\n"
-        )
-        found = run_rule(BackendDispatchOnly(), src, "graphs/algorithms.py")
-        assert found  # import + instantiation + bypassed dispatch
-
-    def test_fires_on_reference_impl_call(self):
-        src = (
-            "def classes(g, distances):\n"
-            "    return _djokovic_classes_loop(g, distances)\n"
-        )
-        found = run_rule(BackendDispatchOnly(), src, "partialcube/hierarchy.py")
-        assert len(found) == 1
-
-    def test_near_miss_current_backend_and_facades(self):
-        # The shipped idioms: dispatch via current_backend() (directly or
-        # through a local), and plain facade-function calls.
-        src = (
-            "from repro.core.backend import current_backend\n"
-            "from repro.graphs.algorithms import all_pairs_distances\n"
-            "from repro.utils import bitops\n"
-            "def go(g, labels, indptr, indices, weights, lsb):\n"
-            "    backend = current_backend()\n"
-            "    a = backend.vertex_lsb_sums(lsb, indptr, indices, weights)\n"
-            "    b = current_backend().argsort_labels(labels)\n"
-            "    c = all_pairs_distances(g)\n"
-            "    d = bitops.pairwise_hamming(labels)\n"
-            "    return a, b, c, d\n"
-        )
-        assert run_rule(BackendDispatchOnly(), src, "core/kernels.py") == []
-
-    def test_reference_impl_allowed_in_home_module(self):
-        src = (
-            "def djokovic_classes(g, distances):\n"
-            "    return _djokovic_classes_loop(g, distances)\n"
-        )
-        assert run_rule(BackendDispatchOnly(), src, "partialcube/djokovic.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +210,11 @@ class TestCFG001:
         src = _CFG_HEADER + (
             "class PipelineConfig:\n"
             "    partition: str = 'kway'\n"
-            "    backend: str = ''\n"
+            "    workers: str = ''\n"
             "    IDENTITY_EXCLUDED: ClassVar[frozenset[str]] = frozenset()\n"
             "    def identity(self):\n"
             "        d = asdict(self)\n"
-            "        d.pop('backend', None)\n"
+            "        d.pop('workers', None)\n"
             "        return d\n"
         )
         found = run_rule(ConfigIdentityCoverage(), src, "api/pipeline.py")
@@ -283,13 +236,13 @@ class TestCFG001:
         src = _CFG_HEADER + (
             "class PipelineConfig:\n"
             "    partition: str = 'kway'\n"
-            "    backend: str = ''\n"
+            "    workers: str = ''\n"
             "    IDENTITY_EXCLUDED: ClassVar[frozenset[str]] = frozenset()\n"
             "    def identity(self):\n"
             "        return {'partition': self.partition}\n"
         )
         found = run_rule(ConfigIdentityCoverage(), src, "api/pipeline.py")
-        assert len(found) == 1 and "'backend'" in found[0].message
+        assert len(found) == 1 and "'workers'" in found[0].message
 
     def test_fires_on_stale_exclusion_entry(self):
         src = _CFG_HEADER + (
@@ -304,14 +257,14 @@ class TestCFG001:
         assert len(found) == 1 and "not a declared" in found[0].message
 
     def test_near_miss_shipped_shape(self):
-        # The real PipelineConfig shape: asdict + a loop over the
-        # exclusion set.
+        # The shipped PipelineConfig shape: asdict + a loop over the
+        # exclusion set (here with one excluded field).
         src = _CFG_HEADER + (
             "class PipelineConfig:\n"
             "    partition: str = 'kway'\n"
-            "    backend: str = ''\n"
+            "    workers: str = ''\n"
             "    IDENTITY_EXCLUDED: ClassVar[frozenset[str]] = "
-            "frozenset({'backend'})\n"
+            "frozenset({'workers'})\n"
             "    def identity(self):\n"
             "        d = asdict(self)\n"
             "        for excluded in self.IDENTITY_EXCLUDED:\n"
@@ -389,7 +342,6 @@ def test_rule_pack_has_all_contract_rules():
     assert ids == {
         "DET001",
         "DET002",
-        "BKD001",
         "SRV001",
         "SRV002",
         "REG001",

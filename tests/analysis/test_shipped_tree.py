@@ -77,5 +77,5 @@ def test_injected_violation_with_reasonless_allow_still_fails(tmp_path, capsys):
 def test_list_rules_names_the_whole_pack(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "BKD001", "SRV001", "SRV002", "REG001", "CFG001"):
+    for rule_id in ("DET001", "DET002", "SRV001", "SRV002", "REG001", "CFG001"):
         assert rule_id in out

@@ -14,13 +14,10 @@ import pytest
 
 from repro.core.contraction import contract_level, make_finest_level
 from repro.core.kernels import (
-    available_backends,
     batch_pair_deltas,
     batch_swap_pass,
-    get_backend,
     level_csr,
     pair_delta,
-    set_backend,
     sibling_pair_weights,
     sibling_pairs,
 )
@@ -178,36 +175,3 @@ class TestLevelCsrCache:
         rb = batch_swap_pass(lb, 1, csr=csr)
         assert ra == rb
         assert np.array_equal(la.labels, lb.labels)
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestBackendSeam:
-    # The REPRO_KERNEL_BACKEND tests exercise the *deprecated* env
-    # fallback on purpose (tests/api/test_backend_api.py asserts the
-    # warning itself); the modern chain lives in repro.core.backend.
-
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_set_backend_roundtrip(self):
-        try:
-            set_backend("numpy")
-            assert get_backend() == "numpy"
-        finally:
-            set_backend(None)
-
-    def test_env_var_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert get_backend() == "numpy"
-
-    def test_numba_request_degrades_gracefully(self, monkeypatch):
-        # Without numba installed this must fall back to numpy, not crash.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        assert get_backend() in ("numba", "numpy")
-
-    def test_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
-        with pytest.raises(ValueError):
-            get_backend()
-        with pytest.raises(ValueError):
-            set_backend("cuda")

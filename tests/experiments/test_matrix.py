@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.api.registry import REGISTRY, SCENARIO
 from repro.experiments.matrix import (
-    BUILTIN_SCENARIOS,
     Scenario,
     config_from_mapping,
     get_scenario,
@@ -105,29 +105,29 @@ class TestConfigFromMapping:
 
 class TestBuiltins:
     def test_names(self):
-        assert set(BUILTIN_SCENARIOS) == {"paper", "widened", "smoke", "wide"}
+        assert set(REGISTRY.names(SCENARIO)) == {"paper", "widened", "smoke", "wide"}
 
     def test_wide_scenario_covers_wide_topologies(self):
         from repro.experiments.topologies import WIDE_TOPOLOGIES
 
-        wide = BUILTIN_SCENARIOS["wide"].config
+        wide = get_scenario("wide").config
         assert wide.topologies == WIDE_TOPOLOGIES
         assert "fattree2x7" in wide.topologies
         # instances must be at least as large as the biggest PE count
         assert wide.n_min >= 1024
 
     def test_smoke_includes_a_wide_label_topology(self):
-        assert "fattree4x3" in BUILTIN_SCENARIOS["smoke"].config.topologies
+        assert "fattree4x3" in get_scenario("smoke").config.topologies
 
     def test_paper_matches_defaults(self):
-        assert BUILTIN_SCENARIOS["paper"].config == ExperimentConfig()
+        assert get_scenario("paper").config == ExperimentConfig()
 
     def test_widened_extends_paper(self):
-        topos = BUILTIN_SCENARIOS["widened"].config.topologies
+        topos = get_scenario("widened").config.topologies
         assert topos == PAPER_TOPOLOGIES + WIDENED_TOPOLOGIES
 
     def test_smoke_is_small(self):
-        cfg = BUILTIN_SCENARIOS["smoke"].config
+        cfg = get_scenario("smoke").config
         assert cfg.n_max <= 256 and cfg.repetitions == 1
 
     def test_get_scenario_builtin(self):

@@ -65,6 +65,30 @@ class TestAllPairs:
         d = all_pairs_distances(g)
         assert d.max() == 6  # 3 + 3
 
+    def test_trivial_sizes(self):
+        empty = all_pairs_distances(from_edges(0, []))
+        assert empty.shape == (0, 0) and empty.dtype == np.int64
+        assert all_pairs_distances(from_edges(1, [])).tolist() == [[0]]
+        assert all_pairs_distances(from_edges(2, [(0, 1)])).tolist() == [
+            [0, 1],
+            [1, 0],
+        ]
+
+    def test_disconnected_pairs_unreached(self):
+        # two components: cross-component entries must all stay -1
+        g = from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+        d = all_pairs_distances(g)
+        assert (d[:3, 3:] == -1).all() and (d[3:, :3] == -1).all()
+        for v in range(g.n):
+            assert np.array_equal(d[v], bfs_distances(g, v))
+
+    def test_matches_per_source_bfs_across_bitset_words(self):
+        # > 64 vertices spreads the source bitsets over several words
+        for g in (gen.path(130), gen.random_tree(130, seed=2)):
+            d = all_pairs_distances(g)
+            for v in range(g.n):
+                assert np.array_equal(d[v], bfs_distances(g, v))
+
 
 class TestComponents:
     def test_single_component(self, small_grid):

@@ -7,6 +7,7 @@ from repro.errors import GraphFormatError
 from repro.graphs.builder import (
     GraphBuilder,
     from_arrays,
+    from_edges,
     from_networkx,
     to_networkx,
 )
@@ -23,6 +24,11 @@ class TestGraphBuilder:
         assert g.edge_weight(0, 1) == 1.0
         assert g.edge_weight(1, 2) == 4.0
 
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 1.0, 7)])
+    def test_add_edges_rejects_other_arities(self, edge):
+        with pytest.raises(GraphFormatError, match=r"must be \(u, v\)"):
+            GraphBuilder(3).add_edges([edge])
+
     def test_rejects_self_loop(self):
         with pytest.raises(GraphFormatError):
             GraphBuilder(2).add_edge(1, 1)
@@ -34,6 +40,18 @@ class TestGraphBuilder:
     def test_rejects_negative_weight(self):
         with pytest.raises(GraphFormatError):
             GraphBuilder(2).add_edge(0, 1, -2.0)
+
+    @pytest.mark.parametrize("bad", [0.5, np.float32(1.5), float("nan"), "1", None])
+    def test_rejects_non_integral_vertex_id(self, bad):
+        # a fractional id must not be truncated to a neighbouring vertex
+        with pytest.raises(GraphFormatError, match="not an integer"):
+            from_edges(3, [(bad, 1), (1, 2)])
+        with pytest.raises(GraphFormatError, match="not an integer"):
+            GraphBuilder(3).add_edge(1, bad)
+
+    def test_integral_float_and_numpy_ids_accepted(self):
+        g = from_edges(3, [(0.0, np.int32(1)), (np.uint8(1), 2.0)])
+        assert g.edge_weight(0, 1) == 1.0 and g.edge_weight(1, 2) == 1.0
 
     def test_vertex_weights(self):
         g = GraphBuilder(2).add_edge(0, 1).set_vertex_weights([2.0, 3.0]).build()
@@ -71,6 +89,19 @@ class TestFromArrays:
     def test_out_of_range(self):
         with pytest.raises(GraphFormatError):
             from_arrays(2, np.asarray([0]), np.asarray([7]))
+
+    @pytest.mark.parametrize(
+        "us", [[0.5, 1.0], [np.nan, 1.0], [np.inf, 1.0], ["0", "1"], [None, 1]]
+    )
+    def test_rejects_non_integral_vertex_ids(self, us):
+        with pytest.raises(GraphFormatError, match="must be integers"):
+            from_arrays(3, us, [1, 2])
+        with pytest.raises(GraphFormatError, match="must be integers"):
+            from_arrays(3, [1, 2], us)
+
+    def test_integral_float_ids_accepted(self):
+        g = from_arrays(3, np.asarray([0.0, 1.0]), np.asarray([1, 2]))
+        assert g.m == 2 and g.edge_weight(1, 2) == 1.0
 
 
 class TestNetworkxRoundtrip:

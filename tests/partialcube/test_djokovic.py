@@ -8,6 +8,8 @@ from repro.graphs import generators as gen
 from repro.graphs.algorithms import all_pairs_distances
 from repro.graphs.builder import from_edges
 from repro.partialcube.djokovic import (
+    _djokovic_classes_loop,
+    _djokovic_classes_vectorized,
     djokovic_classes,
     is_partial_cube,
     partial_cube_labeling,
@@ -132,12 +134,7 @@ class TestPaperTopologies:
         assert partial_cube_labeling(g).dim == dim
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestVectorizedMatchesLoop:
-    # method= is a deprecation shim now (the strategy choice moved into
-    # the kernel backend); these tests keep pinning it to prove the
-    # explicit strategies stay equivalent.
-
     """The batched side-test implementation must reproduce the sequential
     per-class loop exactly on partial cubes (trees, grids, hypercubes)."""
 
@@ -160,36 +157,31 @@ class TestVectorizedMatchesLoop:
     def test_identical_classes(self, maker):
         g = maker()
         dist = all_pairs_distances(g)
-        ec_loop, cls_loop = djokovic_classes(g, dist, method="loop")
-        ec_vec, cls_vec = djokovic_classes(g, dist, method="vectorized")
+        ec_loop, cls_loop = _djokovic_classes_loop(g, dist)
+        ec_vec, cls_vec = _djokovic_classes_vectorized(g, dist)
         assert np.array_equal(ec_loop, ec_vec)
         assert cls_loop == cls_vec
 
     def test_default_auto_matches_both(self, small_grid):
         ec_default, cls_default = djokovic_classes(small_grid)
-        ec_vec, cls_vec = djokovic_classes(small_grid, method="vectorized")
+        ec_vec, cls_vec = _djokovic_classes_vectorized(
+            small_grid, all_pairs_distances(small_grid)
+        )
         assert np.array_equal(ec_default, ec_vec)
         assert cls_default == cls_vec
 
     def test_auto_falls_back_to_batch_on_many_classes(self):
         # a 100-edge tree has 100 classes > the 64-class loop cap
         t = gen.random_tree(101, seed=4)
-        ec_auto, cls_auto = djokovic_classes(t, method="auto")
-        ec_loop, cls_loop = djokovic_classes(t, method="loop")
-        assert np.array_equal(ec_auto, ec_loop)
-        assert cls_auto == cls_loop
-
-    def test_rejects_unknown_method(self, small_grid):
-        with pytest.raises(ValueError):
-            djokovic_classes(small_grid, method="gpu")
-
-    @pytest.mark.filterwarnings("error::DeprecationWarning")
-    def test_method_kwarg_warns_deprecation(self, small_grid):
-        with pytest.warns(DeprecationWarning, match="kernel backend"):
-            djokovic_classes(small_grid, method="auto")
+        dist = all_pairs_distances(t)
+        assert _djokovic_classes_loop(t, dist, max_classes=64) is None
+        ec_default, cls_default = djokovic_classes(t)
+        ec_loop, cls_loop = _djokovic_classes_loop(t, dist)
+        assert np.array_equal(ec_default, ec_loop)
+        assert cls_default == cls_loop
 
     def test_vectorized_detects_overlap(self):
         g = from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
         with pytest.raises(NotPartialCubeError) as exc:
-            djokovic_classes(g, method="vectorized")
+            _djokovic_classes_vectorized(g, all_pairs_distances(g))
         assert exc.value.reason == "overlapping-classes"

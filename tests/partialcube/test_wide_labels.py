@@ -12,7 +12,7 @@ import pytest
 from repro.graphs import generators as gen
 from repro.graphs.algorithms import all_pairs_distances
 from repro.graphs.builder import from_edges
-from repro.partialcube.djokovic import djokovic_classes, partial_cube_labeling
+from repro.partialcube.djokovic import _djokovic_classes_loop, partial_cube_labeling
 from repro.partialcube.hierarchy import hierarchy_from_permutation
 from repro.partialcube.verify import labeling_distance_error, verify_labeling
 from repro.utils.bitops import pairwise_hamming, words_for_bits
@@ -35,11 +35,10 @@ class TestRandomTrees:
         assert labeling_distance_error(t, pc.labels) == 0
 
     @pytest.mark.parametrize("n,seed", [(110, 3), (170, 4)])
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # pinned method=
     def test_labels_match_reference_classes(self, n, seed):
         t = _random_tree(n, seed)
         dist = all_pairs_distances(t)
-        edge_class, classes = djokovic_classes(t, dist, method="loop")
+        edge_class, classes = _djokovic_classes_loop(t, dist)
         pc = partial_cube_labeling(t)
         # Reference side test per class, straight from the definition.
         bits = pc.as_bit_matrix()

@@ -150,27 +150,28 @@ class TestResponseCache:
         with pytest.raises(ConfigurationError):
             self._make(max_bytes=-1)
 
-    def test_key_is_backend_independent(self):
-        """Requests differing only in kernel backend share one cache cell.
-
-        ``PipelineConfig.IDENTITY_EXCLUDED`` keeps ``backend`` out of
-        ``identity()``; the scheduler's response-cache key is built from
-        ``group_key() + work_key()``, so the audit here is that those
-        keys collide exactly when the results are byte-identical.
+    def test_removed_backend_key_is_rejected(self):
+        """The retired ``backend`` config key is an unknown key, not a
+        silently ignored one, so it can never split or alias a cache cell.
         """
-        from repro.serve.scheduler import GraphSpec, MapRequest
-        from repro.serve.service import parse_config
+        import asyncio
 
-        def key_for(backend):
-            request = MapRequest(
-                topology="grid4x4",
-                graph=GraphSpec(kind="generate", instance="p2p-Gnutella", seed=1),
-                config=parse_config({"nh": 1, "backend": backend}),
-                seed=1,
+        import pytest
+
+        from repro.errors import ReproError
+        from repro.serve.scheduler import BatchScheduler
+        from repro.serve.service import MappingService, parse_config
+
+        with pytest.raises(ReproError, match="unknown config keys"):
+            parse_config({"nh": 1, "backend": "numpy"})
+        scheduler = BatchScheduler(window_s=0.01, max_batch=4)
+        try:
+            status, body, _ = asyncio.run(
+                MappingService(scheduler).handle(
+                    "map", {"topology": "grid4x4", "config": {"backend": "numpy"}}
+                )
             )
-            return (request.group_key(),) + request.work_key()
-
-        assert key_for("") == key_for("numpy")
-        cache = self._make()
-        cache.put(key_for(""), "shared-result")
-        assert cache.get(key_for("numpy")) == "shared-result"
+        finally:
+            scheduler.close()
+        assert status == 400 and body["error"] == "bad_request"
+        assert "unknown config keys" in body["message"]

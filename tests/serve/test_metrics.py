@@ -134,9 +134,7 @@ class TestRegistry:
         h = m.histogram("lat", bounds=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
-        text = m.render_prometheus(
-            extra={"cache_sessions_size": 2, "kernel_backend": "numpy"}
-        )
+        text = m.render_prometheus(extra={"cache_sessions_size": 2})
         assert "# HELP repro_serve_requests_total admitted" in text
         assert "# TYPE repro_serve_requests_total counter" in text
         assert "repro_serve_requests_total 2" in text
@@ -147,6 +145,4 @@ class TestRegistry:
         assert 'repro_serve_lat_bucket{le="+Inf"} 2' in text
         assert "repro_serve_lat_count 2" in text
         assert "repro_serve_cache_sessions_size 2" in text
-        # string extras render info-style: constant-1 gauge, value label
-        assert 'repro_serve_kernel_backend_info{value="numpy"} 1' in text
         assert text.endswith("\n")

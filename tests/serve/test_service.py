@@ -114,6 +114,26 @@ class TestOps:
         )
         assert status == 400 and reply["error"] == "bad_request"
 
+    @pytest.mark.parametrize(
+        "first_edge,message",
+        [
+            ([0.5, 1], "not an integer"),
+            ([0, 99], "out of range"),
+            ([0], "must be (u, v) or (u, v, w)"),
+            ([0, 1, 1.0, 7], "must be (u, v) or (u, v, w)"),
+        ],
+    )
+    def test_malformed_inline_graph_is_400(self, service, first_edge, message):
+        # The inline graph is built in the compute step, so its build
+        # error must still resolve the waiter's future as a 4xx.
+        edges = [first_edge] + [[i, i + 1] for i in range(1, 31)]
+        body = _map_body() | {"graph": {"kind": "edges", "n": 32, "edges": edges}}
+        status, reply, _ = asyncio.run(
+            asyncio.wait_for(service.handle("map", body), timeout=60)
+        )
+        assert status == 400 and reply["error"] == "bad_request"
+        assert message in reply["message"]
+
     def test_unknown_op_is_404(self, service):
         status, reply, _ = asyncio.run(service.handle("frob", {}))
         assert status == 404

@@ -130,6 +130,13 @@ class TestBigIntEquivalence:
         assert np.array_equal(ham, ham.T)
         assert hamming_labels(a[0:1], a[1:2]).tolist() == [3]
 
+    def test_pairwise_hamming_blocked_matches_unblocked(self):
+        # n > block: the row-blocked wide path must tile correctly
+        rng = np.random.default_rng(17)
+        wide = rng.integers(0, 1 << 62, size=(600, 2)).astype(np.uint64)
+        unblocked = popcount_labels(wide[:, None, :] ^ wide[None, :, :])
+        assert np.array_equal(pairwise_hamming(wide, block=256), unblocked)
+
     def test_get_set_bit_lsb(self):
         a = _as_wide([1, 1 << 64, (1 << 64) | 1])
         assert get_label_bit(a, 0).tolist() == [1, 0, 1]
@@ -215,6 +222,16 @@ class TestArgsortLabels:
         rng = np.random.default_rng(2)
         n = RADIX_SORT_THRESHOLD + 100
         labels = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64)
+        assert np.array_equal(argsort_labels(labels), self._void_argsort(labels))
+
+    @pytest.mark.parametrize("width,varying", [(2, 2), (4, 2), (4, 4), (6, 1)])
+    def test_varying_word_subsets_match_void_path(self, width, varying):
+        # constant word columns are dropped before the radix pass
+        rng = np.random.default_rng(width * 10 + varying)
+        n = 800
+        labels = np.zeros((n, width), dtype=np.uint64)
+        cols = rng.choice(width, size=varying, replace=False)
+        labels[:, cols] = rng.integers(0, 8, size=(n, varying)).astype(np.uint64)
         assert np.array_equal(argsort_labels(labels), self._void_argsort(labels))
 
     def test_stability_on_all_equal_labels(self):
